@@ -1,15 +1,18 @@
 //! Throughput benchmark for the columnar job-log store.
 //!
 //! Generates a seeded iosim database, streams it into a fresh store in
-//! bounded chunks, seals and compacts, then scans it back twice — a full
-//! sequential pass and a zone-map-filtered pass — and writes the numbers
-//! to `results/BENCH_store.json`.
+//! bounded chunks, seals and compacts, reopens it (recovery verifies
+//! every sealed segment), then scans it back twice — a full sequential
+//! pass and a zone-map-filtered pass — and writes the numbers to
+//! `results/BENCH_store.json`. Times are milliseconds at µs resolution.
 //!
 //! Scale knobs: `AIIO_BENCH_JOBS` (default 100000 — the CI soak uses this
 //! size, smoke runs downscale), `AIIO_BENCH_SEED` (default 7),
 //! `AIIO_BENCH_CHUNK` (ingest chunk rows, default 4096).
+//! `AIIO_BENCH_BEFORE` names the results file of an earlier build to embed
+//! as `before`.
 
-use aiio_bench::write_json;
+use aiio_bench::{before_results, cores, median_ms, ms_since, write_json};
 use aiio_darshan::CounterId;
 use aiio_iosim::{DatabaseSampler, SamplerConfig};
 use aiio_store::{CounterRange, Store};
@@ -21,20 +24,31 @@ struct BenchStore {
     n_jobs: usize,
     seed: u64,
     chunk_rows: usize,
-    ingest_ms: u64,
+    cores: usize,
+    ingest_ms: f64,
     ingest_jobs_per_s: f64,
-    seal_compact_ms: u64,
+    seal_compact_ms: f64,
     segments_before_compact: usize,
     segments_after_compact: usize,
-    scan_ms: u64,
+    /// Median `Store::open` of the compacted store (recovery verifies
+    /// every sealed segment).
+    open_ms: f64,
+    open_repeats: usize,
+    /// Full scan right after the reopen: every segment is a cache fill.
+    scan_ms: f64,
     scan_jobs_per_s: f64,
     scan_mib_per_s: f64,
-    filtered_scan_ms: u64,
+    filtered_scan_ms: f64,
     filtered_rows: usize,
     total_rows: usize,
     sealed_bytes: u64,
     bytes_per_row: f64,
+    /// The same bench's results from an earlier build, if supplied.
+    before: Option<serde_json::Value>,
 }
+
+/// Reopens timed for the open median.
+const OPEN_REPEATS: usize = 5;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -47,6 +61,7 @@ fn run() -> std::io::Result<()> {
     let n_jobs = env_usize("AIIO_BENCH_JOBS", 100_000);
     let seed = env_usize("AIIO_BENCH_SEED", 7) as u64;
     let chunk_rows = env_usize("AIIO_BENCH_CHUNK", 4096);
+    let before = before_results()?;
 
     let dir = std::env::temp_dir().join(format!("aiio_bench_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -66,14 +81,25 @@ fn run() -> std::io::Result<()> {
         .sample_into_store(&mut store, chunk_rows)
         .map_err(|e| e.into_io())?;
     store.sync().map_err(|e| e.into_io())?;
-    let ingest_ms = t.elapsed().as_millis() as u64;
+    let ingest_ms = ms_since(t);
 
     let segments_before = store.stats().segments;
     eprintln!("[bench_store] sealing + compacting {segments_before} segments...");
     let t = Instant::now();
     store.seal().map_err(|e| e.into_io())?;
     let report = store.compact().map_err(|e| e.into_io())?;
-    let seal_compact_ms = t.elapsed().as_millis() as u64;
+    let seal_compact_ms = ms_since(t);
+    drop(store);
+
+    eprintln!("[bench_store] reopening ({OPEN_REPEATS}x)...");
+    let open_ms = median_ms(OPEN_REPEATS, || {
+        Store::open(&dir).map(drop).map_err(|e| e.into_io())
+    })?;
+    let store = Store::open(&dir).map_err(|e| e.into_io())?;
+    assert!(
+        store.recovery_report().is_clean(),
+        "reopening a cleanly closed store must not repair anything"
+    );
 
     let stats = store.stats();
     eprintln!("[bench_store] full scan...");
@@ -82,7 +108,7 @@ fn run() -> std::io::Result<()> {
     store
         .scan(&mut |_job| scanned += 1)
         .map_err(|e| e.into_io())?;
-    let scan_ms = t.elapsed().as_millis() as u64;
+    let scan_ms = ms_since(t);
     assert_eq!(
         scanned as u64, ingested,
         "scan must yield every ingested row"
@@ -101,34 +127,39 @@ fn run() -> std::io::Result<()> {
     store
         .scan_filtered(&range, &mut |_job| filtered_rows += 1)
         .map_err(|e| e.into_io())?;
-    let filtered_scan_ms = t.elapsed().as_millis() as u64;
+    let filtered_scan_ms = ms_since(t);
 
-    let secs = |ms: u64| (ms.max(1) as f64) / 1000.0;
+    let per_s = |n: f64, ms: f64| n / (ms / 1e3);
     let result = BenchStore {
         n_jobs,
         seed,
         chunk_rows,
+        cores: cores(),
         ingest_ms,
-        ingest_jobs_per_s: ingested as f64 / secs(ingest_ms),
+        ingest_jobs_per_s: per_s(ingested as f64, ingest_ms),
         seal_compact_ms,
         segments_before_compact: report.segments_before,
         segments_after_compact: report.segments_after,
+        open_ms,
+        open_repeats: OPEN_REPEATS,
         scan_ms,
-        scan_jobs_per_s: scanned as f64 / secs(scan_ms),
-        scan_mib_per_s: stats.sealed_bytes as f64 / (1024.0 * 1024.0) / secs(scan_ms),
+        scan_jobs_per_s: per_s(scanned as f64, scan_ms),
+        scan_mib_per_s: per_s(stats.sealed_bytes as f64 / (1024.0 * 1024.0), scan_ms),
         filtered_scan_ms,
         filtered_rows,
         total_rows: stats.total_rows,
         sealed_bytes: stats.sealed_bytes,
         bytes_per_row: stats.sealed_bytes as f64 / (stats.total_rows.max(1) as f64),
+        before,
     };
     println!(
-        "ingest: {ingested} jobs in {ingest_ms} ms ({:.0} jobs/s); scan: {scan_ms} ms \
-         ({:.0} jobs/s, {:.1} MiB/s); filtered scan: {} rows in {filtered_scan_ms} ms",
+        "ingest: {ingested} jobs in {ingest_ms:.3} ms ({:.0} jobs/s); open: {open_ms:.3} ms; \
+         scan: {scan_ms:.3} ms ({:.0} jobs/s, {:.1} MiB/s); filtered scan: {} rows in \
+         {filtered_scan_ms:.3} ms",
         result.ingest_jobs_per_s, result.scan_jobs_per_s, result.scan_mib_per_s, filtered_rows
     );
     println!(
-        "compact: {} -> {} segments; {:.1} bytes/row on disk",
+        "compact: {} -> {} segments in {seal_compact_ms:.3} ms; {:.1} bytes/row on disk",
         result.segments_before_compact, result.segments_after_compact, result.bytes_per_row
     );
     write_json("BENCH_store", &result)?;

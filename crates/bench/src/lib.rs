@@ -109,6 +109,49 @@ pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result
     Ok(())
 }
 
+/// Milliseconds elapsed since `t`, at the clock's full resolution —
+/// never rounded to whole milliseconds, never clamped.
+pub fn ms_since(t: std::time::Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Run `f` `repeats` times (at least once) and return the median of its
+/// wall times in milliseconds.
+pub fn median_ms(
+    repeats: usize,
+    mut f: impl FnMut() -> std::io::Result<()>,
+) -> std::io::Result<f64> {
+    let mut times = Vec::with_capacity(repeats.max(1));
+    for _ in 0..repeats.max(1) {
+        let t = std::time::Instant::now();
+        f()?;
+        times.push(ms_since(t));
+    }
+    times.sort_by(f64::total_cmp);
+    Ok(times[times.len() / 2])
+}
+
+/// Cores the process may run on.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Environment variable naming a results file this bench wrote for an
+/// earlier build; the new results embed it as `before`, so one file
+/// carries a before/after pair measured on the same machine.
+pub const BEFORE_ENV: &str = "AIIO_BENCH_BEFORE";
+
+/// The earlier results named by [`BEFORE_ENV`], if it is set.
+pub fn before_results() -> std::io::Result<Option<serde_json::Value>> {
+    let Ok(path) = std::env::var(BEFORE_ENV) else {
+        return Ok(None);
+    };
+    let text = std::fs::read_to_string(&path)?;
+    serde_json::parse_value(&text)
+        .map(Some)
+        .map_err(|e| std::io::Error::other(format!("{path}: {e}")))
+}
+
 /// Render a simple aligned table to stdout.
 pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();

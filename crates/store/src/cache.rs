@@ -9,7 +9,11 @@
 //!
 //! Identity rule: an entry is stored under the segment *path* but is only
 //! a hit when the requested [`SegmentMeta`]'s file length **and**
-//! whole-file FNV-1a fingerprint both match the entry. Compaction reuses
+//! fingerprint both match the entry. The fingerprint folds the segment's
+//! stored per-region CRC-32 words (see [`SegmentMeta::fingerprint`]):
+//! `segment::load_meta` reads them from the file, and a fill takes them
+//! from the bytes it has just verified, so identifying a segment costs no
+//! pass over its bytes beyond the CRC check itself. Compaction reuses
 //! the first group member's id (same `seg-<id>.seg` path, new bytes), and
 //! replication resets rewrite shard directories in place — with the
 //! fingerprint in the key, a stale entry is unservable by construction;
@@ -31,7 +35,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use aiio_darshan::JobLog;
 use serde::Serialize;
 
-use crate::codec::fnv1a64;
 use crate::error::Result;
 use crate::segment::{self, SegmentMeta};
 
@@ -147,11 +150,12 @@ impl SegmentCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
 
-        // Fill outside the lock: one pass over the file yields both the
-        // decoded rows and the fingerprint of the exact bytes decoded.
+        // Fill outside the lock: one read of the file yields both the
+        // decoded rows and the fingerprint of the exact bytes decoded,
+        // folded from the CRC words the decode has just verified.
         let bytes = std::fs::read(&meta.path)?;
-        let fingerprint = fnv1a64(&bytes);
-        let jobs = Arc::new(segment::decode_jobs(&meta.path, &bytes)?);
+        let (jobs, fingerprint) = segment::decode_jobs(&meta.path, &bytes)?;
+        let jobs = Arc::new(jobs);
         let len = bytes.len() as u64;
         drop(bytes);
 

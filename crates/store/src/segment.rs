@@ -26,13 +26,17 @@
 //! whose rows are already covered by a merged successor.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use aiio_darshan::JobLog;
 
 use crate::codec::{crc32, fnv1a64, push_u32, push_u64, read_u32, read_u64};
 use crate::error::{Result, StoreError};
-use crate::schema::{decode_row, encode_row, zone_value, FORMAT_VERSION, N_STORE_COLUMNS};
+use crate::schema::{
+    decode_row, encode_row, zone_value, COL_APP, COL_YEAR, FORMAT_VERSION, N_STORE_COLUMNS,
+};
 
 /// Segment file magic.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"AIIOSEG1";
@@ -74,11 +78,16 @@ pub struct SegmentMeta {
     pub base_ordinal: u64,
     /// File size in bytes.
     pub bytes: u64,
-    /// FNV-1a 64 hash of the whole file — the content identity the
-    /// segment cache keys on, so an entry cached for one generation of a
-    /// path can never be served for another (compaction reuses the first
-    /// member's id). Not CRC-32: the per-region CRC framing makes the
-    /// whole-file CRC content-independent (see `codec::fnv1a64`).
+    /// Content identity the segment cache keys on, so an entry cached
+    /// for one generation of a path can never be served for another
+    /// (compaction reuses the first member's id). It is the FNV-1a 64
+    /// fold of the segment's own stored CRC-32 words — header,
+    /// dictionary, each column, footer: 224 bytes, not the file. Each
+    /// word is the checksum of its region's content, so any change to
+    /// any region changes a folded word. (The whole-file CRC would not
+    /// do: every region is stored as `data ‖ crc32(data)`, and a CRC run
+    /// over its own appended checksum lands on a content-independent
+    /// residue. The fold never runs a CRC over a stored CRC.)
     pub fingerprint: u64,
     /// One entry per store column.
     pub zones: Vec<ZoneEntry>,
@@ -212,6 +221,40 @@ struct ParsedHeader {
     base_ordinal: u64,
 }
 
+impl ParsedHeader {
+    /// File length the header implies.
+    fn file_len(&self) -> usize {
+        self.footer_offset() + N_STORE_COLUMNS * 16 + 4
+    }
+
+    /// Bytes of one column block (its CRC word follows it).
+    fn block_len(&self) -> usize {
+        self.n_rows * 8
+    }
+
+    /// Offset of column `col`'s block; `N_STORE_COLUMNS` is the footer.
+    fn column_offset(&self, col: usize) -> usize {
+        HEADER_LEN + self.dict_len + 4 + col * (self.block_len() + 4)
+    }
+
+    fn footer_offset(&self) -> usize {
+        self.column_offset(N_STORE_COLUMNS)
+    }
+
+    /// Offsets of the stored CRC words of every region, in fingerprint
+    /// order: header, dictionary, each column, footer.
+    fn crc_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        [HEADER_LEN - 4, HEADER_LEN + self.dict_len]
+            .into_iter()
+            .chain((0..N_STORE_COLUMNS).map(|c| self.column_offset(c) + self.block_len()))
+            .chain(std::iter::once(self.file_len() - 4))
+    }
+}
+
+/// Number of stored CRC words a segment carries (and its fingerprint
+/// folds): header, dictionary, one per column, footer.
+const N_CRC_WORDS: usize = N_STORE_COLUMNS + 3;
+
 fn parse_header(path: &Path, bytes: &[u8]) -> Result<ParsedHeader> {
     if bytes.len() < HEADER_LEN {
         return Err(corrupt(path, 0, "file shorter than segment header"));
@@ -251,49 +294,92 @@ fn parse_header(path: &Path, bytes: &[u8]) -> Result<ParsedHeader> {
     })
 }
 
-fn expected_len(h: &ParsedHeader) -> usize {
-    HEADER_LEN + h.dict_len + 4 + N_STORE_COLUMNS * (h.n_rows * 8 + 4) + N_STORE_COLUMNS * 16 + 4
-}
-
-fn footer_offset(h: &ParsedHeader) -> usize {
-    expected_len(h) - (N_STORE_COLUMNS * 16 + 4)
-}
-
-/// Load the metadata (header + zone-map footer) of a sealed segment,
-/// verifying their checksums but not the column data.
-pub fn load_meta(path: &Path) -> Result<SegmentMeta> {
-    let bytes = std::fs::read(path)?;
-    let h = parse_header(path, &bytes)?;
-    if bytes.len() != expected_len(&h) {
+fn check_len(path: &Path, h: &ParsedHeader, len: u64) -> Result<()> {
+    if len != h.file_len() as u64 {
         return Err(corrupt(
             path,
-            bytes.len() as u64,
+            len,
             format!(
-                "truncated segment: {} bytes on disk, header implies {}",
-                bytes.len(),
-                expected_len(&h)
+                "truncated segment: {len} bytes on disk, header implies {}",
+                h.file_len()
             ),
         ));
     }
-    let foff = footer_offset(&h);
-    let footer = &bytes[foff..bytes.len() - 4];
-    let stored = read_u32(&bytes, bytes.len() - 4).unwrap_or(0);
-    if crc32(footer) != stored {
+    Ok(())
+}
+
+fn check_footer(path: &Path, h: &ParsedHeader, footer_and_crc: &[u8]) -> Result<()> {
+    let (footer, stored) = footer_and_crc.split_at(footer_and_crc.len() - 4);
+    if crc32(footer) != read_u32(stored, 0).unwrap_or(0) {
         return Err(corrupt(
             path,
-            foff as u64,
+            h.footer_offset() as u64,
             "zone-map footer checksum mismatch",
         ));
     }
-    let mut zones = Vec::with_capacity(N_STORE_COLUMNS);
-    for col in 0..N_STORE_COLUMNS {
-        let min = read_u64(footer, col * 16)
-            .map(f64::from_bits)
-            .unwrap_or(0.0);
-        let max = read_u64(footer, col * 16 + 8)
-            .map(f64::from_bits)
-            .unwrap_or(0.0);
-        zones.push(ZoneEntry { min, max });
+    Ok(())
+}
+
+fn check_column(path: &Path, col: usize, off: usize, block_and_crc: &[u8]) -> Result<()> {
+    let (block, stored) = block_and_crc.split_at(block_and_crc.len() - 4);
+    if crc32(block) != read_u32(stored, 0).unwrap_or(0) {
+        return Err(corrupt(
+            path,
+            off as u64,
+            format!(
+                "column `{}` checksum mismatch",
+                crate::schema::column_name(col)
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// Open `path` and parse its header, reading only the header bytes.
+fn open_header(path: &Path) -> Result<(File, ParsedHeader)> {
+    let mut file = File::open(path)?;
+    let mut head = Vec::with_capacity(HEADER_LEN);
+    (&mut file).take(HEADER_LEN as u64).read_to_end(&mut head)?;
+    let h = parse_header(path, &head)?;
+    check_len(path, &h, file.metadata()?.len())?;
+    Ok((file, h))
+}
+
+/// Read `buf.len()` bytes at `off`. The length was checked against the
+/// header, so running out of bytes means the file shrank underneath the
+/// read: that is damage, not an I/O failure.
+fn read_at(path: &Path, file: &mut File, off: usize, buf: &mut [u8]) -> Result<()> {
+    file.seek(SeekFrom::Start(off as u64))?;
+    file.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            corrupt(path, off as u64, "segment shrank while being read")
+        } else {
+            StoreError::Io(e)
+        }
+    })
+}
+
+/// Load the metadata of a sealed segment: its header, its zone-map
+/// footer and its stored per-region CRC words, verifying the header and
+/// footer checksums but not the column data. Reads those few hundred
+/// bytes, not the file; the length comes from the file's metadata.
+pub fn load_meta(path: &Path) -> Result<SegmentMeta> {
+    let (mut file, h) = open_header(path)?;
+    let foff = h.footer_offset();
+    let mut footer = vec![0u8; h.file_len() - foff];
+    read_at(path, &mut file, foff, &mut footer)?;
+    check_footer(path, &h, &footer)?;
+    let zones = (0..N_STORE_COLUMNS)
+        .map(|col| ZoneEntry {
+            min: read_u64(&footer, col * 16).map_or(0.0, f64::from_bits),
+            max: read_u64(&footer, col * 16 + 8).map_or(0.0, f64::from_bits),
+        })
+        .collect();
+    let mut words = Vec::with_capacity(N_CRC_WORDS * 4);
+    for off in h.crc_offsets() {
+        let mut word = [0u8; 4];
+        read_at(path, &mut file, off, &mut word)?;
+        words.extend_from_slice(&word);
     }
     let id = path
         .file_name()
@@ -305,10 +391,20 @@ pub fn load_meta(path: &Path) -> Result<SegmentMeta> {
         id,
         rows: h.n_rows,
         base_ordinal: h.base_ordinal,
-        bytes: bytes.len() as u64,
-        fingerprint: fnv1a64(&bytes),
+        bytes: h.file_len() as u64,
+        fingerprint: fnv1a64(&words),
         zones,
     })
+}
+
+/// The [`SegmentMeta::fingerprint`] of a whole segment image whose header
+/// has been parsed: the fold of its stored CRC words.
+fn image_fingerprint(h: &ParsedHeader, bytes: &[u8]) -> u64 {
+    let mut words = Vec::with_capacity(N_CRC_WORDS * 4);
+    for off in h.crc_offsets() {
+        words.extend_from_slice(&bytes[off..off + 4]);
+    }
+    fnv1a64(&words)
 }
 
 /// Read and fully verify a sealed segment, decoding every row. Verifies
@@ -316,25 +412,15 @@ pub fn load_meta(path: &Path) -> Result<SegmentMeta> {
 /// is a [`StoreError::Corrupt`] naming the offending block.
 pub fn read_jobs(path: &Path) -> Result<Vec<JobLog>> {
     let bytes = std::fs::read(path)?;
-    decode_jobs(path, &bytes)
+    decode_jobs(path, &bytes).map(|(jobs, _)| jobs)
 }
 
-/// Decode (and fully CRC-verify) segment bytes already read from `path`.
-/// Split out of [`read_jobs`] so the segment cache can fingerprint the
-/// exact bytes it decoded in one pass over the file.
-pub fn decode_jobs(path: &Path, bytes: &[u8]) -> Result<Vec<JobLog>> {
+/// Check every checksum of a whole segment image and parse its app
+/// dictionary — everything [`decode_jobs`] verifies short of the per-row
+/// references, in the same order with the same errors.
+fn verify_image(path: &Path, bytes: &[u8]) -> Result<(ParsedHeader, Vec<String>)> {
     let h = parse_header(path, bytes)?;
-    if bytes.len() != expected_len(&h) {
-        return Err(corrupt(
-            path,
-            bytes.len() as u64,
-            format!(
-                "truncated segment: {} bytes on disk, header implies {}",
-                bytes.len(),
-                expected_len(&h)
-            ),
-        ));
-    }
+    check_len(path, &h, bytes.len() as u64)?;
 
     let dict_start = HEADER_LEN;
     let dict_end = dict_start + h.dict_len;
@@ -355,53 +441,73 @@ pub fn decode_jobs(path: &Path, bytes: &[u8]) -> Result<Vec<JobLog>> {
         )
     })?;
 
-    let mut rows = vec![[0u64; N_STORE_COLUMNS]; h.n_rows];
-    let mut off = dict_end + 4;
     for col in 0..N_STORE_COLUMNS {
-        let block_len = h.n_rows * 8;
-        let block = &bytes[off..off + block_len];
-        let stored = read_u32(bytes, off + block_len).unwrap_or(0);
-        if crc32(block) != stored {
-            return Err(corrupt(
-                path,
-                off as u64,
-                format!(
-                    "column `{}` checksum mismatch",
-                    crate::schema::column_name(col)
-                ),
-            ));
-        }
-        for (r, row) in rows.iter_mut().enumerate() {
-            row[col] = read_u64(block, r * 8).unwrap_or(0);
-        }
-        off += block_len + 4;
+        let off = h.column_offset(col);
+        check_column(path, col, off, &bytes[off..off + h.block_len() + 4])?;
     }
+    check_footer(path, &h, &bytes[h.footer_offset()..])?;
+    Ok((h, apps))
+}
 
-    let foff = footer_offset(&h);
-    let footer = &bytes[foff..bytes.len() - 4];
-    let stored = read_u32(bytes, bytes.len() - 4).unwrap_or(0);
-    if crc32(footer) != stored {
-        return Err(corrupt(
-            path,
-            foff as u64,
-            "zone-map footer checksum mismatch",
-        ));
+/// The cells of column `col` in a verified segment image.
+fn column_cells<'a>(
+    h: &ParsedHeader,
+    bytes: &'a [u8],
+    col: usize,
+) -> impl Iterator<Item = u64> + 'a {
+    let off = h.column_offset(col);
+    bytes[off..off + h.block_len()]
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+}
+
+fn bad_row(path: &Path, r: usize) -> StoreError {
+    corrupt(path, 0, format!("row {r} has out-of-range references"))
+}
+
+/// Decode (and fully CRC-verify) segment bytes already read from `path`,
+/// returning the rows and the segment's [`SegmentMeta::fingerprint`] as
+/// taken from the bytes just verified. Split out of [`read_jobs`] so the
+/// segment cache can fill from, and identify, one read of the file.
+pub fn decode_jobs(path: &Path, bytes: &[u8]) -> Result<(Vec<JobLog>, u64)> {
+    let (h, apps) = verify_image(path, bytes)?;
+    let mut rows = vec![[0u64; N_STORE_COLUMNS]; h.n_rows];
+    for col in 0..N_STORE_COLUMNS {
+        for (row, cell) in rows.iter_mut().zip(column_cells(&h, bytes, col)) {
+            row[col] = cell;
+        }
     }
-
     let mut jobs = Vec::with_capacity(h.n_rows);
     for (r, row) in rows.iter().enumerate() {
-        let job = decode_row(row, &apps)
-            .ok_or_else(|| corrupt(path, 0, format!("row {r} has out-of-range references")))?;
-        jobs.push(job);
+        jobs.push(decode_row(row, &apps).ok_or_else(|| bad_row(path, r))?);
     }
-    Ok(jobs)
+    Ok((jobs, image_fingerprint(&h, bytes)))
+}
+
+/// Fully verify a sealed segment without decoding it: every check
+/// [`read_jobs`] makes — header, dictionary, per-column and footer
+/// checksums, a parsable dictionary, and per row an app index inside the
+/// dictionary and a year that fits a `u16` — in the same order, failing
+/// with the same [`StoreError`], but building no `JobLog`.
+pub fn verify_segment(path: &Path) -> Result<()> {
+    let bytes = std::fs::read(path)?;
+    let (h, apps) = verify_image(path, &bytes)?;
+    let refs = column_cells(&h, &bytes, COL_APP).zip(column_cells(&h, &bytes, COL_YEAR));
+    for (r, (app, year)) in refs.enumerate() {
+        let app_ok = usize::try_from(app).is_ok_and(|i| i < apps.len());
+        if !app_ok || u16::try_from(year).is_err() {
+            return Err(bad_row(path, r));
+        }
+    }
+    Ok(())
 }
 
 /// Read one raw column of a sealed segment, CRC-verified, without
 /// decoding any rows. This is the targeted read behind segment hash-range
 /// metadata: a rebalance plan needs only the job-id column
 /// (`schema::COL_JOB_ID`) of each segment to know which target shards its
-/// hash range spans — 8 bytes per row instead of a full decode.
+/// hash range spans — the header plus 8 bytes per row are read, not the
+/// file.
 pub fn read_column_u64(path: &Path, col: usize) -> Result<Vec<u64>> {
     if col >= N_STORE_COLUMNS {
         return Err(format_err(
@@ -409,38 +515,15 @@ pub fn read_column_u64(path: &Path, col: usize) -> Result<Vec<u64>> {
             format!("column {col} out of range (store has {N_STORE_COLUMNS})"),
         ));
     }
-    let bytes = std::fs::read(path)?;
-    let h = parse_header(path, &bytes)?;
-    if bytes.len() != expected_len(&h) {
-        return Err(corrupt(
-            path,
-            bytes.len() as u64,
-            format!(
-                "truncated segment: {} bytes on disk, header implies {}",
-                bytes.len(),
-                expected_len(&h)
-            ),
-        ));
-    }
-    let block_len = h.n_rows * 8;
-    let off = HEADER_LEN + h.dict_len + 4 + col * (block_len + 4);
-    let block = &bytes[off..off + block_len];
-    let stored = read_u32(&bytes, off + block_len).unwrap_or(0);
-    if crc32(block) != stored {
-        return Err(corrupt(
-            path,
-            off as u64,
-            format!(
-                "column `{}` checksum mismatch",
-                crate::schema::column_name(col)
-            ),
-        ));
-    }
-    let mut out = Vec::with_capacity(h.n_rows);
-    for r in 0..h.n_rows {
-        out.push(read_u64(block, r * 8).unwrap_or(0));
-    }
-    Ok(out)
+    let (mut file, h) = open_header(path)?;
+    let off = h.column_offset(col);
+    let mut block = vec![0u8; h.block_len() + 4];
+    read_at(path, &mut file, off, &mut block)?;
+    check_column(path, col, off, &block)?;
+    Ok(block[..h.block_len()]
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+        .collect())
 }
 
 /// Rename a damaged segment aside (`seg-<id>.seg.quarantine`) so it never
@@ -566,6 +649,90 @@ mod tests {
         bad[HEADER_LEN + 40] ^= 0x04;
         std::fs::write(&meta.path, &bad).unwrap();
         assert!(read_column_u64(&meta.path, crate::schema::COL_JOB_ID).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn same_shape_segments_with_different_data_have_different_fingerprints() {
+        let dir = tmpdir("fp_distinct");
+        let a: Vec<JobLog> = (0..6).map(|i| job(i, "ior")).collect();
+        let mut b = a.clone();
+        b[3].time.slowest_rank_seconds += 1.0;
+        let ma = write_segment(&dir, 1, 0, &a).unwrap();
+        let mb = write_segment(&dir, 2, 0, &b).unwrap();
+        assert_eq!(ma.bytes, mb.bytes, "same shape");
+        assert_ne!(ma.fingerprint, mb.fingerprint);
+        // Identical rows give an identical fingerprint, whatever the path.
+        let mc = write_segment(&dir, 3, 0, &a).unwrap();
+        assert_eq!(ma.fingerprint, mc.fingerprint);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_meta_fingerprint_equals_the_fill_fingerprint() {
+        let dir = tmpdir("fp_fill");
+        let jobs: Vec<JobLog> = (0..9)
+            .map(|i| job(i, if i % 3 == 0 { "a" } else { "bb" }))
+            .collect();
+        let meta = write_segment(&dir, 1, 4, &jobs).unwrap();
+        let bytes = std::fs::read(&meta.path).unwrap();
+        let (back, fingerprint) = decode_jobs(&meta.path, &bytes).unwrap();
+        assert_eq!(back, jobs);
+        assert_eq!(fingerprint, load_meta(&meta.path).unwrap().fingerprint);
+        assert_eq!(fingerprint, meta.fingerprint);
+        assert_eq!(meta.bytes, bytes.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrite cell `row` of column `col` and re-stamp that column's CRC,
+    /// so the damage is invisible to every checksum.
+    fn poke_cell(path: &Path, rows: usize, dict_len: usize, col: usize, row: usize, v: u64) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let off = HEADER_LEN + dict_len + 4 + col * (rows * 8 + 4);
+        bytes[off + row * 8..off + row * 8 + 8].copy_from_slice(&v.to_le_bytes());
+        let crc = crc32(&bytes[off..off + rows * 8]);
+        bytes[off + rows * 8..off + rows * 8 + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn verify_segment_fails_exactly_where_decode_fails() {
+        let dir = tmpdir("verify");
+        let jobs: Vec<JobLog> = (0..5).map(|i| job(i, "ior")).collect();
+        let meta = write_segment(&dir, 1, 0, &jobs).unwrap();
+        let clean = std::fs::read(&meta.path).unwrap();
+        let dict_len = serde_json::to_vec(&["ior"]).unwrap().len();
+        verify_segment(&meta.path).unwrap();
+        let same_error = |what: &str| {
+            let want = read_jobs(&meta.path).map(|_| ()).map_err(|e| e.to_string());
+            let got = verify_segment(&meta.path).map_err(|e| e.to_string());
+            assert_eq!(got, want, "{what}");
+            got
+        };
+        // A flipped bit anywhere: same error (or the same success) as a
+        // full decode.
+        for off in 0..clean.len() {
+            let mut bad = clean.clone();
+            bad[off] ^= 0x08;
+            std::fs::write(&meta.path, &bad).unwrap();
+            let _ = same_error(&format!("flip at {off}"));
+        }
+        // Checksum-valid damage only the row check sees.
+        for (col, v, row) in [
+            (COL_APP, 1u64, 2usize),
+            (COL_YEAR, 70_000, 4),
+            (COL_APP, u64::MAX, 0),
+        ] {
+            std::fs::write(&meta.path, &clean).unwrap();
+            poke_cell(&meta.path, 5, dict_len, col, row, v);
+            let err = same_error(&format!("col {col} row {row}")).unwrap_err();
+            assert!(
+                err.contains(&format!("row {row} has out-of-range")),
+                "{err}"
+            );
+        }
+        std::fs::write(&meta.path, &clean[..clean.len() - 3]).unwrap();
+        same_error("truncated").unwrap_err();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -34,8 +34,10 @@ pub struct StoreConfig {
     pub rows_per_segment: usize,
     /// Max rows per WAL block (one frame per ingest chunk).
     pub wal_block_rows: usize,
-    /// Fully checksum-verify every sealed segment when opening; corrupt
-    /// segments are quarantined instead of served.
+    /// Fully verify every sealed segment when opening (every checksum and
+    /// row reference a decode checks, via `segment::verify_segment`,
+    /// without decoding rows); corrupt segments are quarantined instead
+    /// of served.
     pub verify_on_open: bool,
 }
 
@@ -404,7 +406,7 @@ impl Store {
         for (_, path) in &seg_paths {
             let verified = segment::load_meta(path).and_then(|meta| {
                 if config.verify_on_open {
-                    segment::read_jobs(path).map(|_| meta)
+                    segment::verify_segment(path).map(|_| meta)
                 } else {
                     Ok(meta)
                 }
@@ -1027,6 +1029,40 @@ mod tests {
         let report = store.recovery_report();
         assert_eq!(report.quarantined_segments.len(), 1);
         assert_eq!(report.quarantined_rows, 16);
+        assert_eq!(store.len(), 16, "intact prefix keeps serving");
+        assert!(!second.exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn checksum_valid_bad_app_reference_is_quarantined_on_open() {
+        let root = tmp("bad_ref");
+        let mut store = Store::open_with(&root, small_config()).unwrap();
+        store.append_batch(&jobs(32)).unwrap(); // two sealed segments
+        let second = store.segments()[1].path.clone();
+        drop(store);
+        // Point row 5's app index past the 4-name dictionary and re-stamp
+        // the column CRC: only the per-row reference check can see it.
+        let mut bytes = std::fs::read(&second).unwrap();
+        let dict_len = crate::codec::read_u32(&bytes, 28).unwrap() as usize;
+        let rows = 16;
+        let off = segment::HEADER_LEN + dict_len + 4 + crate::schema::COL_APP * (rows * 8 + 4);
+        bytes[off + 5 * 8..off + 6 * 8].copy_from_slice(&4u64.to_le_bytes());
+        let crc = crate::codec::crc32(&bytes[off..off + rows * 8]);
+        bytes[off + rows * 8..off + rows * 8 + 4].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&second, &bytes).unwrap();
+
+        let store = Store::open_with(&root, small_config()).unwrap();
+        let quarantined = format!("{}.{}", second.display(), segment::QUARANTINE_SUFFIX);
+        assert_eq!(
+            serde_json::to_string(store.recovery_report()).unwrap(),
+            format!(
+                "{{\"wal_rows_recovered\":0,\"wal_bytes_dropped\":0,\
+                 \"wal_rows_already_sealed\":0,\"quarantined_segments\":[{}],\
+                 \"quarantined_rows\":16,\"stale_segments_removed\":0}}",
+                serde_json::to_string(&quarantined).unwrap()
+            )
+        );
         assert_eq!(store.len(), 16, "intact prefix keeps serving");
         assert!(!second.exists());
         let _ = std::fs::remove_dir_all(&root);
