@@ -9,7 +9,7 @@ use crate::merge::{
 use crate::model::ModelKind;
 use crate::zoo::ModelZoo;
 use aiio_darshan::{CounterId, FeaturePipeline, JobLog, N_COUNTERS};
-use aiio_explain::kernel::{KernelShap, KernelShapConfig};
+use aiio_explain::kernel::{KernelShap, KernelShapConfig, PlanCache};
 use aiio_explain::lime::{Lime, LimeConfig};
 use aiio_explain::{Attribution, Predictor};
 use serde::{Deserialize, Serialize};
@@ -244,6 +244,7 @@ pub struct Diagnoser<'a> {
     pipeline: FeaturePipeline,
     config: DiagnosisConfig,
     baselines: Option<&'a BaselineCache>,
+    plans: Option<&'a PlanCache>,
 }
 
 impl<'a> Diagnoser<'a> {
@@ -253,12 +254,20 @@ impl<'a> Diagnoser<'a> {
             pipeline,
             config,
             baselines: None,
+            plans: None,
         }
     }
 
     /// Reuse (and warm) `cache` for per-model background predictions.
     pub fn with_baselines(mut self, cache: &'a BaselineCache) -> Self {
         self.baselines = Some(cache);
+        self
+    }
+
+    /// Reuse (and warm) `cache` for Kernel SHAP coalition plans; the
+    /// reports are bit-identical with or without it.
+    pub fn with_plans(mut self, cache: &'a PlanCache) -> Self {
+        self.plans = Some(cache);
         self
     }
 
@@ -281,11 +290,18 @@ impl<'a> Diagnoser<'a> {
             None => model.predict_one(&background),
         };
         match self.config.explainer {
-            ExplainerKind::KernelShap => KernelShap::new(KernelShapConfig {
-                max_evals: self.config.max_evals,
-                seed: self.config.seed,
-            })
-            .explain_with_baseline(model, features, &background, expected),
+            ExplainerKind::KernelShap => {
+                let shap = KernelShap::new(KernelShapConfig {
+                    max_evals: self.config.max_evals,
+                    seed: self.config.seed,
+                });
+                match self.plans {
+                    Some(plans) => {
+                        shap.explain_with_plans(model, features, &background, expected, plans)
+                    }
+                    None => shap.explain_with_baseline(model, features, &background, expected),
+                }
+            }
             ExplainerKind::Lime => Lime::new(LimeConfig {
                 n_samples: self.config.max_evals,
                 seed: self.config.seed,

@@ -1,8 +1,8 @@
 //! The five performance-function models behind one interface.
 
-use aiio_explain::Predictor;
+use aiio_explain::{map_coalition_rows, CoalitionEval, Predictor};
 use aiio_gbdt::Booster;
-use aiio_nn::{Mlp, TabNet};
+use aiio_nn::{Mlp, MlpEval, MlpScratch, TabNet, TabNetEval, TabNetScratch};
 use serde::{Deserialize, Serialize};
 
 /// Which of the paper's five models a trained performance function is.
@@ -87,6 +87,74 @@ impl AnyModel {
 impl Predictor for AnyModel {
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
         AnyModel::predict_batch(self, rows)
+    }
+
+    fn predict_one(&self, row: &[f64]) -> f64 {
+        AnyModel::predict_one(self, row)
+    }
+
+    /// Trees compile against the explanation ([`Booster::masked`]); the
+    /// networks run their eval forward over `&self` on one reused
+    /// coalition row per chunk. Both return the default path's bits.
+    fn coalitions<'a>(
+        &'a self,
+        x: &'a [f64],
+        background: &'a [f64],
+        active: &'a [usize],
+    ) -> Box<dyn CoalitionEval + 'a> {
+        match self {
+            AnyModel::Gbdt(m) => m.coalitions(x, background, active),
+            AnyModel::Mlp(m) => Box::new(RowwiseCoalitions {
+                eval: m.eval(),
+                x,
+                background,
+                active,
+            }),
+            AnyModel::TabNet(m) => Box::new(RowwiseCoalitions {
+                eval: m.eval(),
+                x,
+                background,
+                active,
+            }),
+        }
+    }
+}
+
+/// A network's eval forward, one row at a time with reused buffers.
+trait RowEval: Sync {
+    type Scratch: Default;
+    fn predict_row(&self, row: &[f64], scratch: &mut Self::Scratch) -> f64;
+}
+
+impl RowEval for MlpEval<'_> {
+    type Scratch = MlpScratch;
+    fn predict_row(&self, row: &[f64], scratch: &mut MlpScratch) -> f64 {
+        MlpEval::predict_row(self, row, scratch)
+    }
+}
+
+impl RowEval for TabNetEval<'_> {
+    type Scratch = TabNetScratch;
+    fn predict_row(&self, row: &[f64], scratch: &mut TabNetScratch) -> f64 {
+        TabNetEval::predict_row(self, row, scratch)
+    }
+}
+
+/// Coalitions through a [`RowEval`]: each chunk writes its coalitions in
+/// turn into one scratch row.
+struct RowwiseCoalitions<'a, E> {
+    eval: E,
+    x: &'a [f64],
+    background: &'a [f64],
+    active: &'a [usize],
+}
+
+impl<E: RowEval> CoalitionEval for RowwiseCoalitions<'_, E> {
+    fn predict(&self, masks: &[u64]) -> Vec<f64> {
+        let mut scratch = E::Scratch::default();
+        map_coalition_rows(self.x, self.background, self.active, masks, |row| {
+            self.eval.predict_row(row, &mut scratch)
+        })
     }
 }
 

@@ -11,6 +11,7 @@ use crate::diagnosis::{BaselineCache, DiagnoseError, Diagnoser, DiagnosisConfig,
 use crate::drift::DriftDetector;
 use crate::zoo::{ModelZoo, ZooConfig, ZooError};
 use aiio_darshan::{Dataset, FeaturePipeline, JobLog, LogDatabase, SplitIndices, StoreBackend};
+use aiio_explain::kernel::PlanCache;
 use serde::{Deserialize, Serialize};
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
@@ -94,10 +95,19 @@ pub struct AiioService {
     /// persistence because it's derivable from the models.
     #[serde(skip, default = "fresh_baselines")]
     baselines: Arc<BaselineCache>,
+    /// Kernel SHAP coalition plans, one slot per active-counter count.
+    /// Runtime-only like `baselines`: a plan is a pure function of the
+    /// count and the diagnosis config.
+    #[serde(skip, default = "fresh_plans")]
+    plans: Arc<PlanCache>,
 }
 
 fn fresh_baselines() -> Arc<BaselineCache> {
     Arc::new(BaselineCache::new())
+}
+
+fn fresh_plans() -> Arc<PlanCache> {
+    Arc::new(PlanCache::new())
 }
 
 impl AiioService {
@@ -152,6 +162,7 @@ impl AiioService {
             validation_rmse,
             drift,
             baselines: fresh_baselines(),
+            plans: fresh_plans(),
         })
     }
 
@@ -182,12 +193,19 @@ impl AiioService {
     fn diagnoser(&self) -> Diagnoser<'_> {
         Diagnoser::new(&self.zoo, self.pipeline, self.diagnosis.clone())
             .with_baselines(&self.baselines)
+            .with_plans(&self.plans)
     }
 
     /// The per-model background-prediction memo (hit/miss counters are
     /// what tests and the serving layer's metrics read).
     pub fn baseline_cache(&self) -> &BaselineCache {
         &self.baselines
+    }
+
+    /// The Kernel SHAP coalition-plan memo (hit/miss counters for benches
+    /// and tests).
+    pub fn plan_cache(&self) -> &PlanCache {
+        &self.plans
     }
 
     /// The trained model zoo.

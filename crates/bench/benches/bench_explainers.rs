@@ -6,18 +6,10 @@ use aiio_explain::exact::exact_shapley;
 use aiio_explain::kernel::{KernelShap, KernelShapConfig};
 use aiio_explain::lime::{Lime, LimeConfig};
 use aiio_explain::tree::tree_shap;
-use aiio_explain::Predictor;
 use aiio_gbdt::{Booster, GbdtConfig};
 use aiio_iosim::{DatabaseSampler, SamplerConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-
-struct P<'a>(&'a Booster);
-impl Predictor for P<'_> {
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        self.0.predict(rows)
-    }
-}
 
 fn setup() -> (Booster, Vec<f64>, Vec<f64>) {
     let db = DatabaseSampler::new(SamplerConfig {
@@ -53,21 +45,21 @@ fn bench_explainers(c: &mut Criterion) {
     let mut g = c.benchmark_group("explain_one_job");
     g.sample_size(10);
     g.bench_function("exact_shapley_14_active", |b| {
-        b.iter(|| black_box(exact_shapley(&P(&model), black_box(&x), &bg)))
+        b.iter(|| black_box(exact_shapley(&model, black_box(&x), &bg)))
     });
     let ks = KernelShap::new(KernelShapConfig {
         max_evals: 1024,
         seed: 0,
     });
     g.bench_function("kernel_shap_1024_evals", |b| {
-        b.iter(|| black_box(ks.explain(&P(&model), black_box(&x), &bg)))
+        b.iter(|| black_box(ks.explain(&model, black_box(&x), &bg)))
     });
     let lime = Lime::new(LimeConfig {
         n_samples: 1024,
         ..LimeConfig::default()
     });
     g.bench_function("lime_1024_samples", |b| {
-        b.iter(|| black_box(lime.explain(&P(&model), black_box(&x), &bg)))
+        b.iter(|| black_box(lime.explain(&model, black_box(&x), &bg)))
     });
     g.bench_function("tree_shap_exact_polytime", |b| {
         b.iter(|| black_box(tree_shap(&model, black_box(&x))))

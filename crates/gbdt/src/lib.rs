@@ -30,8 +30,10 @@
 pub mod booster;
 pub mod dataset;
 pub mod grow;
+pub mod masked;
 pub mod tree;
 
 pub use booster::{Booster, EvalRecord, FitError, GbdtConfig, Growth};
 pub use dataset::{BinnedMatrix, Binner};
+pub use masked::MaskedBooster;
 pub use tree::{Node, Tree};

@@ -59,18 +59,35 @@ pub fn softmax(z: &[f64]) -> Vec<f64> {
 /// Returns a vector `p` with `p_i >= 0`, `Σ p_i = 1`, and `p_i = 0` outside
 /// the support.
 pub fn sparsemax(z: &[f64]) -> Vec<f64> {
-    let k = z.len();
-    if k == 0 {
-        return Vec::new();
+    let mut out = vec![0.0; z.len()];
+    sparsemax_into(z, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`sparsemax`] writing into `out` (`out.len() == z.len()`), with `keys`
+/// as a reusable sort buffer — the allocation-free form for per-row
+/// forward passes.
+///
+/// The values are sorted through their [`f64::total_cmp`] keys, integers
+/// that compare exactly as `total_cmp` compares the values. Equal keys are
+/// equal bits, so any sort of the keys yields the one descending sequence
+/// a stable `total_cmp` sort would, and the prefix sums below see the
+/// values in that order.
+pub fn sparsemax_into(z: &[f64], keys: &mut Vec<i64>, out: &mut [f64]) {
+    assert_eq!(z.len(), out.len(), "sparsemax length mismatch");
+    if z.is_empty() {
+        return;
     }
     // Sort descending, find the support size via the threshold condition
     // 1 + j*z_(j) > Σ_{i<=j} z_(i).
-    let mut sorted: Vec<f64> = z.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
+    keys.clear();
+    keys.extend(z.iter().map(|&v| total_order_key(v)));
+    keys.sort_unstable();
     let mut cumsum = 0.0;
     let mut support = 0;
     let mut support_sum = 0.0;
-    for (j, &zj) in sorted.iter().enumerate() {
+    for (j, &key) in keys.iter().rev().enumerate() {
+        let zj = f64::from_bits(total_order_key_inverse(key));
         cumsum += zj;
         let jf = (j + 1) as f64;
         if 1.0 + jf * zj > cumsum {
@@ -79,7 +96,22 @@ pub fn sparsemax(z: &[f64]) -> Vec<f64> {
         }
     }
     let tau = (support_sum - 1.0) / support as f64;
-    z.iter().map(|&x| (x - tau).max(0.0)).collect()
+    for (o, &x) in out.iter_mut().zip(z) {
+        *o = (x - tau).max(0.0);
+    }
+}
+
+/// The integer [`f64::total_cmp`] orders by: flipping the magnitude bits
+/// of negative values makes two's-complement order the total order.
+fn total_order_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The bits of the value whose [`total_order_key`] is `key` (the flip
+/// keeps the sign bit, so it undoes itself).
+fn total_order_key_inverse(key: i64) -> u64 {
+    (key ^ (((key >> 63) as u64) >> 1) as i64) as u64
 }
 
 /// Jacobian-vector product of sparsemax at output `p` applied to upstream
@@ -120,6 +152,82 @@ pub fn inv_log1p10(y: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The sort-by-`total_cmp` sparsemax the key sort must reproduce.
+    fn sparsemax_reference(z: &[f64]) -> Vec<f64> {
+        if z.is_empty() {
+            return Vec::new();
+        }
+        let mut sorted: Vec<f64> = z.to_vec();
+        sorted.sort_by(|a, b| b.total_cmp(a));
+        let mut cumsum = 0.0;
+        let mut support = 0;
+        let mut support_sum = 0.0;
+        for (j, &zj) in sorted.iter().enumerate() {
+            cumsum += zj;
+            let jf = (j + 1) as f64;
+            if 1.0 + jf * zj > cumsum {
+                support = j + 1;
+                support_sum = cumsum;
+            }
+        }
+        let tau = (support_sum - 1.0) / support as f64;
+        z.iter().map(|&x| (x - tau).max(0.0)).collect()
+    }
+
+    #[test]
+    fn key_sorted_sparsemax_matches_the_total_cmp_sort_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut keys = Vec::new();
+        for len in 0..60 {
+            for _ in 0..20 {
+                // Coarse values force ties; some rows mix in specials.
+                let z: Vec<f64> = (0..len)
+                    .map(|_| match rng.gen_range(0..10) {
+                        0 => specials[rng.gen_range(0..specials.len())],
+                        1..=4 => rng.gen_range(-4..4) as f64 * 0.25,
+                        _ => rng.gen_range(-3.0..2.0),
+                    })
+                    .collect();
+                let mut out = vec![0.0; len];
+                sparsemax_into(&z, &mut keys, &mut out);
+                let want = sparsemax_reference(&z);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want), "z = {z:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn total_order_keys_order_like_total_cmp_and_invert() {
+        let vals = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            1e-300,
+            3.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &a in &vals {
+            assert_eq!(total_order_key_inverse(total_order_key(a)), a.to_bits());
+            for &b in &vals {
+                assert_eq!(total_order_key(a).cmp(&total_order_key(b)), a.total_cmp(&b));
+            }
+        }
+    }
 
     #[test]
     fn relu_clamps_negative() {

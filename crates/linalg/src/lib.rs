@@ -20,4 +20,7 @@ pub mod stats;
 
 pub use matrix::Matrix;
 pub use pca::Pca;
-pub use solve::{cholesky_solve, ridge_regression, weighted_least_squares, SolveError};
+pub use solve::{
+    cholesky_solve, ridge_regression, weighted_least_squares, Cholesky, SolveError,
+    WeightedLeastSquares,
+};

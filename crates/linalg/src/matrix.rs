@@ -129,8 +129,9 @@ impl Matrix {
 
     /// Matrix multiply `self * other`.
     ///
-    /// The inner loops run in `ikj` order so the innermost accesses both
-    /// operands sequentially, which lets the compiler vectorise.
+    /// Each output row is [`Matrix::vecmat_into`] of the matching row of
+    /// `self`, so a batched product and a row-at-a-time one agree bit for
+    /// bit.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
@@ -138,20 +139,38 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
         let n = other.cols;
-        out.data.chunks_mut(n).enumerate().for_each(|(i, out_row)| {
-            let a_row = self.row(i);
-            for (k, &a) in a_row.iter().enumerate() {
-                // xtask-allow: AIIO-F001 — exact-zero skip: sparse rows shortcut, correct for any nonzero
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        });
+        out.data
+            .chunks_mut(n)
+            .enumerate()
+            .for_each(|(i, out_row)| other.vecmat_into(self.row(i), out_row));
         out
+    }
+
+    /// `out = x * self` for one row vector `x`.
+    ///
+    /// The inner loops run in `kj` order so the innermost accesses both
+    /// operands sequentially, which lets the compiler vectorise. Every
+    /// output starts at `0.0` and accumulates `x[k] * self[(k, j)]` in
+    /// ascending `k`, skipping exact zeros of `x`.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != self.rows` or `out.len() != self.cols`.
+    pub fn vecmat_into(&self, x: &[f64], out: &mut [f64]) {
+        assert!(
+            x.len() == self.rows && out.len() == self.cols,
+            "vecmat dimension mismatch"
+        );
+        out.fill(0.0);
+        for (k, &a) in x.iter().enumerate() {
+            // xtask-allow: AIIO-F001 — exact-zero skip: sparse rows shortcut, correct for any nonzero
+            if a == 0.0 {
+                continue;
+            }
+            let b_row = self.row(k);
+            for (o, &b) in out.iter_mut().zip(b_row) {
+                *o += a * b;
+            }
+        }
     }
 
     /// `self * v` for a vector `v`.

@@ -52,6 +52,15 @@ impl Dense {
         y
     }
 
+    /// Eval-mode forward of one row into `out`: exactly that row of
+    /// [`Dense::forward`]'s `x W + b`, without allocating.
+    pub fn forward_row(&self, x: &[f64], out: &mut [f64]) {
+        self.w.vecmat_into(x, out);
+        for (v, b) in out.iter_mut().zip(&self.b) {
+            *v += b;
+        }
+    }
+
     pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, DimensionError> {
         let x = self
             .x_cache
@@ -167,6 +176,27 @@ impl BatchNorm {
         }
         let _ = n;
         y
+    }
+
+    /// The eval-mode scale `1 / sqrt(running_var + eps)`, as
+    /// [`BatchNorm::forward`] computes it.
+    pub fn eval_std_inv(&self) -> Vec<f64> {
+        self.running_var
+            .iter()
+            .map(|v| 1.0 / (v + self.eps).sqrt())
+            .collect()
+    }
+
+    /// Eval-mode forward of one row in place, with `std_inv` from
+    /// [`BatchNorm::eval_std_inv`]: exactly that row of
+    /// `forward(x, false)`.
+    pub fn forward_row_eval(&self, std_inv: &[f64], row: &mut [f64]) {
+        let params = self.running_mean.iter().zip(std_inv);
+        let affine = self.gamma.iter().zip(&self.beta);
+        for ((v, (m, s)), (g, b)) in row.iter_mut().zip(params).zip(affine) {
+            let x_hat = (*v - m) * s;
+            *v = x_hat * g + b;
+        }
     }
 
     pub fn backward(&mut self, dy: &Matrix) -> Result<Matrix, DimensionError> {

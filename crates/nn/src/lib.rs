@@ -29,8 +29,8 @@ pub mod tabnet;
 
 pub use adam::Adam;
 pub use error::DimensionError;
-pub use mlp::{Mlp, MlpConfig};
-pub use tabnet::{TabNet, TabNetConfig};
+pub use mlp::{Mlp, MlpConfig, MlpEval, MlpScratch};
+pub use tabnet::{TabNet, TabNetConfig, TabNetEval, TabNetScratch};
 
 /// Epoch-level fit record shared by both trainers.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]

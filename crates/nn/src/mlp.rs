@@ -6,6 +6,7 @@ use crate::adam::Adam;
 use crate::error::DimensionError;
 use crate::layers::{BatchNorm, Dense, Dropout, ReLu};
 use crate::EpochRecord;
+use aiio_linalg::func::relu;
 use aiio_linalg::Matrix;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -256,15 +257,26 @@ impl Mlp {
         Ok(())
     }
 
-    /// Predict a batch (eval mode).
+    /// Predict a batch (eval mode), one row at a time through
+    /// [`Mlp::eval`].
     pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        // Forward in eval mode never mutates observable state, but the
-        // layer API wants &mut for cache reuse; clone the (small) model.
-        let mut m = self.clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let xb = Matrix::from_rows(x);
-        let out = m.forward(&xb, false, &mut rng);
-        (0..out.rows()).map(|i| out[(i, 0)]).collect()
+        let eval = self.eval();
+        let mut scratch = MlpScratch::default();
+        x.iter()
+            .map(|row| eval.predict_row(row, &mut scratch))
+            .collect()
+    }
+
+    /// The eval-mode forward pass, prepared once for any number of rows.
+    pub fn eval(&self) -> MlpEval<'_> {
+        MlpEval {
+            std_inv: self
+                .blocks
+                .iter()
+                .map(|b| b.bn.as_ref().map(BatchNorm::eval_std_inv))
+                .collect(),
+            mlp: self,
+        }
     }
 
     /// Predict one sample.
@@ -282,6 +294,47 @@ impl Mlp {
         let mut w: Vec<usize> = self.blocks.iter().map(|b| b.dense.w.cols()).collect();
         w.push(1);
         w
+    }
+}
+
+/// An eval-mode forward pass over a borrowed [`Mlp`], one row at a time:
+/// batch-norm scales are computed once, activations live in a reused
+/// [`MlpScratch`], and dropout is the identity. Each row's prediction is
+/// bit-identical to its row of a batched eval forward, since every layer
+/// acts on rows independently ([`aiio_linalg::Matrix::vecmat_into`] is the
+/// per-row kernel of `matmul`).
+#[derive(Debug, Clone)]
+pub struct MlpEval<'m> {
+    mlp: &'m Mlp,
+    /// Per block: the batch-norm eval scale, when the block has one.
+    std_inv: Vec<Option<Vec<f64>>>,
+}
+
+/// Activation buffers for [`MlpEval::predict_row`], reused across rows.
+#[derive(Debug, Clone, Default)]
+pub struct MlpScratch {
+    cur: Vec<f64>,
+    next: Vec<f64>,
+}
+
+impl MlpEval<'_> {
+    /// The model's prediction for `row`.
+    pub fn predict_row(&self, row: &[f64], scratch: &mut MlpScratch) -> f64 {
+        let MlpScratch { cur, next } = scratch;
+        cur.clear();
+        cur.extend_from_slice(row);
+        for (block, std_inv) in self.mlp.blocks.iter().zip(&self.std_inv) {
+            next.resize(block.dense.w.cols(), 0.0);
+            block.dense.forward_row(cur, next);
+            if let (Some(bn), Some(std_inv)) = (&block.bn, std_inv) {
+                bn.forward_row_eval(std_inv, next);
+            }
+            next.iter_mut().for_each(|v| *v = relu(*v));
+            std::mem::swap(cur, next);
+        }
+        next.resize(1, 0.0);
+        self.mlp.head.forward_row(cur, next);
+        next[0]
     }
 }
 
@@ -305,6 +358,30 @@ mod tests {
             .map(|r| 2.0 * r[0] - r[1] + 0.5 * r[2] * r[3])
             .collect();
         (x, y)
+    }
+
+    #[test]
+    fn row_eval_is_bit_identical_to_the_batched_eval_forward() {
+        let (x, y) = linearish(300, 4);
+        let cfg = MlpConfig {
+            hidden: vec![12, 8, 6],
+            max_epochs: 5,
+            ..MlpConfig::small()
+        };
+        let m = Mlp::fit(&cfg, &x, &y, Some((&x[..50], &y[..50]))).unwrap();
+        // Rows with exact zeros exercise the matmul zero skip.
+        let mut rows = x[..40].to_vec();
+        rows.iter_mut().step_by(3).for_each(|r| r[1] = 0.0);
+        let batched = m.clone().forward(
+            &Matrix::from_rows(&rows),
+            false,
+            &mut ChaCha8Rng::seed_from_u64(0),
+        );
+        let got = m.predict(&rows);
+        for (i, p) in got.iter().enumerate() {
+            assert_eq!(p.to_bits(), batched[(i, 0)].to_bits(), "row {i}");
+        }
+        assert!(m.predict(&[]).is_empty());
     }
 
     #[test]

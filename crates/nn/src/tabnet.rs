@@ -17,7 +17,7 @@
 use crate::adam::Adam;
 use crate::error::DimensionError;
 use crate::EpochRecord;
-use aiio_linalg::func::{relu, relu_grad, sparsemax, sparsemax_jvp};
+use aiio_linalg::func::{relu, relu_grad, sparsemax, sparsemax_into, sparsemax_jvp};
 use aiio_linalg::Matrix;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -447,13 +447,18 @@ impl TabNet {
         Ok(())
     }
 
-    /// Predict a batch.
+    /// Predict a batch, one row at a time through [`TabNet::eval`].
     pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        if x.is_empty() {
-            return vec![];
-        }
-        let xb = Matrix::from_rows(x);
-        self.forward(&xb, false).0
+        let eval = self.eval();
+        let mut scratch = TabNetScratch::default();
+        x.iter()
+            .map(|row| eval.predict_row(row, &mut scratch))
+            .collect()
+    }
+
+    /// The eval-mode forward pass over `&self`, for any number of rows.
+    pub fn eval(&self) -> TabNetEval<'_> {
+        TabNetEval { net: self }
     }
 
     /// Predict one sample.
@@ -520,6 +525,87 @@ impl TabNet {
     }
 }
 
+/// An eval-mode forward pass over a borrowed [`TabNet`], one row at a
+/// time, with every intermediate in a reused [`TabNetScratch`]. Each row's
+/// prediction is bit-identical to its row of the batched forward: every
+/// operation of the forward acts on rows independently, the products use
+/// `matmul`'s per-row kernel ([`aiio_linalg::Matrix::vecmat_into`]) and
+/// the masks use [`sparsemax_into`], the buffer form of `sparsemax`.
+#[derive(Debug, Clone, Copy)]
+pub struct TabNetEval<'m> {
+    net: &'m TabNet,
+}
+
+/// Buffers for [`TabNetEval::predict_row`], reused across rows.
+#[derive(Debug, Clone, Default)]
+pub struct TabNetScratch {
+    a: Vec<f64>,
+    a_next: Vec<f64>,
+    prior: Vec<f64>,
+    z: Vec<f64>,
+    keys: Vec<i64>,
+    mask: Vec<f64>,
+    xm: Vec<f64>,
+    h: Vec<f64>,
+    d: Vec<f64>,
+    agg_d: Vec<f64>,
+}
+
+/// `out = relu(x W + b)` for one row.
+fn dense_relu_row(x: &[f64], w: &Matrix, b: &[f64], out: &mut Vec<f64>) {
+    out.resize(w.cols(), 0.0);
+    w.vecmat_into(x, out);
+    for (v, bb) in out.iter_mut().zip(b) {
+        *v = relu(*v + bb);
+    }
+}
+
+impl TabNetEval<'_> {
+    /// The model's prediction for `row`.
+    pub fn predict_row(&self, row: &[f64], s: &mut TabNetScratch) -> f64 {
+        let net = self.net;
+        let d_in = row.len();
+        // a_0 = relu(x P + b)
+        dense_relu_row(row, &net.proj_w, &net.proj_b, &mut s.a);
+        s.prior.clear();
+        s.prior.resize(d_in, 1.0);
+        s.agg_d.clear();
+        s.agg_d.resize(net.config.n_d, 0.0);
+        s.mask.resize(d_in, 0.0);
+        s.xm.resize(d_in, 0.0);
+        for step in &net.steps {
+            // Mask = sparsemax((a W + b) * prior).
+            s.z.resize(d_in, 0.0);
+            step.attn_w.vecmat_into(&s.a, &mut s.z);
+            for ((z, b), p) in s.z.iter_mut().zip(&step.attn_b).zip(&s.prior) {
+                *z = (*z + b) * p;
+            }
+            sparsemax_into(&s.z, &mut s.keys, &mut s.mask);
+            for ((xm, x), m) in s.xm.iter_mut().zip(row).zip(&s.mask) {
+                *xm = x * m;
+            }
+            dense_relu_row(&s.xm, &step.ft_w, &step.ft_b, &mut s.h);
+            dense_relu_row(&s.h, &step.dec_w, &step.dec_b, &mut s.d);
+            for (acc, d) in s.agg_d.iter_mut().zip(&s.d) {
+                *acc += d;
+            }
+            dense_relu_row(&s.h, &step.att_w, &step.att_b, &mut s.a_next);
+            // Prior relaxation.
+            for (p, m) in s.prior.iter_mut().zip(&s.mask) {
+                *p *= (net.config.gamma - m).max(0.0);
+            }
+            std::mem::swap(&mut s.a, &mut s.a_next);
+        }
+        let pred: f64 = s
+            .agg_d
+            .iter()
+            .zip(net.head_w.as_slice())
+            .map(|(a, b)| a * b)
+            .sum();
+        pred + net.head_b
+    }
+}
+
 fn rmse(pred: &[f64], y: &[f64]) -> f64 {
     let sse: f64 = pred.iter().zip(y).map(|(p, t)| (p - t) * (p - t)).sum();
     (sse / y.len() as f64).sqrt()
@@ -537,6 +623,23 @@ mod tests {
         // Only features 0 and 3 matter.
         let y: Vec<f64> = x.iter().map(|r| 3.0 * r[0] - 2.0 * r[3]).collect();
         (x, y)
+    }
+
+    #[test]
+    fn row_eval_is_bit_identical_to_the_batched_forward() {
+        let (x, y) = data(300, 6);
+        let cfg = TabNetConfig {
+            max_epochs: 5,
+            n_steps: 3,
+            ..TabNetConfig::small()
+        };
+        let m = TabNet::fit(&cfg, &x, &y, None).unwrap();
+        let mut rows = x[..40].to_vec();
+        rows.iter_mut().step_by(3).for_each(|r| r[2] = 0.0);
+        let (batched, _, _) = m.forward(&Matrix::from_rows(&rows), false);
+        let got = m.predict(&rows);
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&batched));
     }
 
     #[test]
